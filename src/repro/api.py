@@ -26,8 +26,7 @@ Stability policy
 Names exported here (the ``__all__`` of this module) are the
 library's *stable surface*: they follow semantic versioning — removals
 or signature breaks only with a major version bump, deprecations keep
-a shimmed fallback for one minor release (see
-:func:`repro.routing.algorithm_registry` for the pattern).  Everything
+a shimmed fallback for one minor release.  Everything
 else in the package — any ``repro.*`` submodule path not re-exported
 here — is internal: importable, useful for advanced work, but free to
 move between releases.  ``tests/test_public_api.py`` pins a snapshot

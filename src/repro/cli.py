@@ -240,7 +240,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
+    from repro.engine import fabric
     from repro.service.core import RoutingService, _serve_forever
     from repro.service.protocol import available_codecs
 
@@ -268,11 +270,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # the CI smoke job can scrape the ephemeral port
             print(f"listening on {address}", flush=True)
 
+    async def serve() -> None:
+        # SIGTERM takes SIGINT's path: cancelling the serve task runs
+        # service.stop(), and the fabric shutdown below reaps the pool
+        # workers and unlinks every shm segment
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
+        await _serve_forever(service, addresses, on_bound)
+
     addresses = args.bind or ["tcp://127.0.0.1:7469"]
     try:
-        asyncio.run(_serve_forever(service, addresses, on_bound))
+        asyncio.run(serve())
     except KeyboardInterrupt:
         pass
+    finally:
+        fabric.shutdown()
     return 0
 
 
@@ -531,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "unix:///path.sock "
                         "[default: tcp://127.0.0.1:7469]")
     v.add_argument("--codec", default="json",
-                   help="default wire codec (json; msgpack when "
-                        "installed — responses always answer in the "
-                        "request's codec)")
+                   help="default wire codec (json or binary — "
+                        "responses always answer in the request's "
+                        "codec)")
     v.add_argument("--workers", type=int, default=None,
                    help="engine parallelism per request "
                         "(0 = all cores); requests may override")

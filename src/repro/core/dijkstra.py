@@ -29,35 +29,35 @@ re-bases a node onto an alternative only after re-validating its
 upstream dependency and every already-recorded downstream dependency
 (see :mod:`repro.core.backtrack`).
 
-Hot-path layout
----------------
-The inner loop runs on the network's CSR array core (``net.csr``): a
-channel's CDG successors are one contiguous ``dep_dst`` slice whose
-positions are flat edge ids, so the per-relaxation state probe is a
-single ``bytearray`` index — no dict hashing, no method call on the
-fast *already-used* and *blocked* branches.  Distance/used scratch
-buffers are plain Python lists preallocated per router and refilled
-per step (CPython indexes lists faster than 0-d numpy scalars); the
-channel weights are snapshotted to a list at step start (float64 and
-Python floats are the same IEEE doubles, so arithmetic is
-bit-identical).  The pre-CSR implementation is frozen in
-:mod:`repro.legacy.nue_ref` and the engine equality tests pin this one
-to it, route-for-route and counter-for-counter.
+Where the step runs
+-------------------
+This module holds one layer's routing state — the CDG, escape paths,
+channel weights and the per-step scratch lists, preallocated per
+router and refilled per step — plus the cold paths every backend
+shares: seeding (Algorithm 1 lines 6–9), the atomic dependency commits
+and child re-base checks the §4.6.2/§4.6.3 impasse handling needs, and
+the escape fallback.  The main loop itself (lines 10–23) and the
+balancing update live in the batch kernels of :mod:`repro.core.kernels`,
+reached through :meth:`NueLayerRouter.route_batch`; it runs on the
+network's CSR array core (``net.csr``), where a channel's CDG
+successors are one contiguous slice whose positions are flat edge ids.
+The reference every kernel twins is the frozen pre-CSR implementation
+in :mod:`repro.legacy.nue_ref`: the equality tests pin the kernels to
+it route-for-route, CDG-state-for-CDG-state and counter-for-counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 import heapq
+
+import numpy as np
 
 from repro.cdg.complete_cdg import CompleteCDG
 from repro.core.escape import EscapePaths
 from repro.network.graph import Network
-from repro.obs import core as obs
 
 __all__ = ["RoutingStep", "NueLayerRouter"]
 
@@ -66,18 +66,13 @@ __all__ = ["RoutingStep", "NueLayerRouter"]
 class RoutingStep:
     """Outcome of one Algorithm-1 routing step (one destination).
 
-    ``used_channel[v]`` is the search-orientation channel entering
-    ``v``; node ``v`` forwards toward the destination on its reverse.
     The work tallies (heap traffic, edge relaxations) are kept as plain
     local integers during the search and flushed to :mod:`repro.obs`
-    in one batch when observation is enabled.
+    in one batch when observation is enabled.  The step's forwarding
+    column is written into the caller's block, not kept here.
     """
 
     dest: int
-    used_channel: List[int] = field(default_factory=list)
-    dist_node: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.float64)
-    )
     fell_back: bool = False
     islands_resolved: int = 0
     shortcuts_taken: int = 0
@@ -91,10 +86,10 @@ class RoutingStep:
 class NueLayerRouter:
     """Routing state of one virtual layer: CDG, escape paths, weights.
 
-    Destinations of the layer are routed one
-    :meth:`route_step` at a time; blocked dependencies and channel
-    weights accumulate across steps, which is what makes later steps
-    respect the restrictions and balance of earlier ones.
+    Destinations of the layer are routed by :meth:`route_batch`;
+    blocked dependencies and channel weights accumulate across steps,
+    which is what makes later steps respect the restrictions and
+    balance of earlier ones.
     """
 
     def __init__(
@@ -126,13 +121,6 @@ class NueLayerRouter:
         base = float((len(net.terminals) or net.n_nodes) * n_dests + 1)
         self.weights = np.full(net.n_channels, base)
         self.layer_index = layer_index
-        # parallel-channel bundles (redundant links) and each channel's
-        # copy index within its bundle — used to rotate the preferred
-        # copy per destination, OpenSM's port-group balancing trick;
-        # the grouping is static per network, so it lives on the CSR
-        # core and is shared by every layer router
-        self._bundles: List[List[int]] = self.csr.bundles
-        self._copy_index = self.csr.copy_index
         # per-step scratch, preallocated once and refilled per step
         # (templates make the refill one slice copy); the heap is a
         # lazy-deletion binary heap of (distance, channel) — stale
@@ -155,93 +143,6 @@ class NueLayerRouter:
         self._relax = 0
         self._pushes = 0
 
-    # -- public API --------------------------------------------------------------
-
-    def route_step(self, dest: int) -> RoutingStep:
-        """Algorithm 1 for one destination, with impasse resolution.
-
-        Never fails: when the local backtracking cannot reconnect all
-        islands, the entire step falls back to the escape paths
-        (Section 4.6.2, option one), which Definition 7 guarantees to
-        work.
-        """
-        from repro.core.backtrack import resolve_islands
-
-        self._dist_node[:] = self._tmpl_node
-        self._dist_chan[:] = self._tmpl_chan
-        self._used[:] = self._tmpl_used
-        self._heap.clear()
-        self._step_marked.clear()
-        self._pops = self._stale = self._relax = self._pushes = 0
-        step = RoutingStep(dest=dest)
-
-        # rotate which parallel copy this destination prefers (a
-        # transient sub-unit epsilon; hop-count dominance and the
-        # >=1-unit balancing updates are never overpowered) — the
-        # destination-hash port-group rotation redundant fabrics need
-        bias = self._apply_copy_rotation(dest)
-        self._w = self.weights.tolist()
-        self._seed(dest)
-        self._run_main_loop()
-        while self.enable_backtracking and self._unreached(dest):
-            progressed, shortcuts = resolve_islands(self, dest)
-            step.shortcuts_taken += shortcuts
-            step.backtrack_rounds += 1
-            if not progressed:
-                break
-            step.islands_resolved += 1
-            self._run_main_loop()
-
-        if self._unreached(dest):
-            self._fall_back(dest)
-            step.fell_back = True
-
-        self._remove_copy_rotation(bias)
-        self._update_weights(dest)
-        step.used_channel = list(self._used)
-        step.dist_node = np.asarray(self._dist_node, dtype=np.float64)
-        step.heap_pops = self._pops
-        step.stale_pops = self._stale
-        step.relaxations = self._relax
-        step.heap_pushes = self._pushes
-        if obs.enabled():
-            obs.count_many({
-                "nue.route_steps": 1,
-                "nue.heap_pops": step.heap_pops,
-                "nue.stale_pops": step.stale_pops,
-                "nue.relaxations": step.relaxations,
-                "nue.heap_pushes": step.heap_pushes,
-                "nue.backtracks": step.islands_resolved,
-                "nue.backtrack_rounds": step.backtrack_rounds,
-                "nue.shortcuts": step.shortcuts_taken,
-                "nue.escape_fallbacks": int(step.fell_back),
-            }, layer=self.layer_index)
-            # per-step work-shape distributions: one histogram event
-            # each, so a whole layer's steps remain comparable across
-            # topologies regardless of destination count
-            obs.observe("nue.step.heap_pops", step.heap_pops,
-                        layer=self.layer_index)
-            obs.observe("nue.step.relaxations", step.relaxations,
-                        layer=self.layer_index)
-        return step
-
-    def route_destination(self, dest: int) -> Tuple[np.ndarray, RoutingStep]:
-        """Per-destination rerouting entry point (fail-in-place repair).
-
-        Runs one :meth:`route_step` and returns the *traffic-direction*
-        forwarding column — ``col[v]`` is the channel node ``v``
-        forwards on toward ``dest`` (-1 at ``dest``) — alongside the
-        raw step.  The column has exactly the layout of one
-        ``RoutingResult.next_channel`` column, which is what the
-        resilience engine scatters back into a retained table.
-        """
-        step = self.route_step(dest)
-        rev = self.csr.channel_reverse
-        u = np.asarray(step.used_channel, dtype=np.int32)
-        col = np.where(u >= 0, rev[u], np.int32(-1)).astype(np.int32)
-        col[dest] = -1
-        return col, step
-
     def route_batch(
         self,
         dests: Sequence[int],
@@ -250,17 +151,18 @@ class NueLayerRouter:
     ) -> List[RoutingStep]:
         """Route a batch of destinations through the layer kernel.
 
-        The batched twin of calling :meth:`route_step` once per
-        destination: destinations are committed in ``dests`` order on
-        the shared layer state (weights, CDG restrictions), and every
-        backend is pinned **bit-identical** to the scalar loop —
-        forwarding tables, CDG state and work counters alike.  The
-        *traffic-direction* forwarding column of ``dests[i]`` is
-        written into ``block[:, cols[i]]`` (``cols`` defaults to
-        ``0..len(dests)-1``); the returned steps carry the work tallies
-        but leave ``used_channel``/``dist_node`` empty — per-node state
-        lives in the block, so the per-step ``list``/``ndarray``
-        snapshots the scalar path pays for are skipped.
+        One Algorithm-1 routing step per destination, committed in
+        ``dests`` order on the shared layer state (weights, CDG
+        restrictions), so later steps respect the restrictions and
+        balance of earlier ones.  Every backend is pinned
+        **bit-identical** to the frozen oracle
+        (:class:`repro.legacy.LegacyNueLayerRouter` routing the same
+        destinations one step at a time) — forwarding tables,
+        CDG state and work counters alike.  The *traffic-direction*
+        forwarding column of ``dests[i]`` is written into
+        ``block[:, cols[i]]`` (``cols`` defaults to
+        ``0..len(dests)-1``); the returned steps carry the work
+        tallies, per-node state lives in the block.
 
         The backend was chosen at construction (``kernel=``, resolved
         by :func:`repro.core.kernels.resolve_kernel`); dispatch is one
@@ -321,25 +223,16 @@ class NueLayerRouter:
                     "edge or dependency cycle)"
                 )
         self._step_marked.clear()
-        self._update_weights(dest)
+        # the balancing update is the python kernel's, applied to a
+        # list mirror of the weights and written back (same doubles)
+        from repro.core.kernels.python import (
+            _source_template,
+            _update_weights_batch,
+        )
 
-    def _apply_copy_rotation(self, dest: int):
-        """Bias each bundle's copies so copy ``(i - dest) mod m`` is
-        cheapest for this destination; returns the bias to remove."""
-        if not self._bundles:
-            return None
-        eps = 1.0 / 1024.0
-        bias = np.zeros(self.net.n_channels)
-        for bundle in self._bundles:
-            m = len(bundle)
-            for i, ch in enumerate(bundle):
-                bias[ch] = eps * ((i - dest) % m)
-        self.weights += bias
-        return bias
-
-    def _remove_copy_rotation(self, bias) -> None:
-        if bias is not None:
-            self.weights -= bias
+        wl = self.weights.tolist()
+        _update_weights_batch(self, wl, dest, _source_template(net))
+        self.weights[:] = wl
 
     # -- initialisation ------------------------------------------------------------
 
@@ -381,106 +274,12 @@ class NueLayerRouter:
                     self._used[y] = cq
                     self.heap_push(cq, alt)
 
-    # -- main loop -------------------------------------------------------------------
+    # -- step helpers (shared by the kernels and the §4.6 resolver) ------------------
 
     def heap_push(self, chan: int, dist: float) -> None:
         """Enqueue (or re-enqueue with a better key) a channel."""
         heapq.heappush(self._heap, (dist, chan))
         self._pushes += 1
-
-    def _run_main_loop(self) -> None:
-        """Algorithm 1 lines 10–23 under the expansion discipline.
-
-        Everything on the per-relaxation path is a local list /
-        bytearray index: CSR successor slices (positions = edge ids),
-        the CDG state byte, and the scratch distance lists.  Only a
-        state-0 edge (a fresh dependency needing a cycle check) or a
-        re-wire leaves this frame.
-        """
-        cdg = self.cdg
-        heap = self._heap
-        dist_node = self._dist_node
-        dist_chan = self._dist_chan
-        used = self._used
-        wts = self._w
-        dst_of = self.csr.dst_l
-        dep_ptr = self.csr.dep_ptr_l
-        dep_dst = self.csr.dep_dst_l
-        state = cdg._state
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        # plain local tallies: cheap enough to run unconditionally and
-        # folded into the per-step obs flush (see route_step)
-        pops = stale = relax = pushes = 0
-        while heap:
-            d_cp, cp = heappop(heap)
-            pops += 1
-            if d_cp > dist_chan[cp]:
-                stale += 1
-                continue  # stale key: the channel was re-queued cheaper
-            x = dst_of[cp]
-            if used[x] != cp:
-                stale += 1
-                continue  # stale: x was re-wired to a better channel
-            for e in range(dep_ptr[cp], dep_ptr[cp + 1]):
-                cq = dep_dst[e]
-                y = dst_of[cq]
-                alt = d_cp + wts[cq]
-                relax += 1
-                if alt < dist_node[y]:
-                    if used[y] < 0:
-                        st = state[e]
-                        if st == 1 or (
-                            st == 0 and self._try_use_fresh(e, cp, cq)
-                        ):
-                            used[y] = cq
-                            dist_node[y] = alt
-                            dist_chan[cq] = alt
-                            heappush(heap, (alt, cq))
-                            pushes += 1
-                        # else: edge became a blocked routing restriction
-                    elif used[y] != cq:
-                        # y is being *re-wired*.  Under plain Dijkstra a
-                        # node's channel is final once it pops, but the
-                        # backtracking of §4.6.2 can open shorter routes
-                        # afterwards; re-wiring a reached node is the
-                        # lazy form of the §4.6.3 shortcut and shares
-                        # its enable flag.  Any dependency already
-                        # recorded toward y's current tree children must
-                        # be re-validated on the new in-channel, exactly
-                        # as a backtracking re-base would.
-                        if not self.enable_shortcuts:
-                            continue
-                        needed = self.child_rebase_dependencies(y, cq)
-                        if needed is None:
-                            continue
-                        old = used[y]
-                        if self.try_use_dependencies_atomic(
-                            [(cp, cq)] + needed
-                        ):
-                            for _, child in needed:
-                                self.unuse_step_dependency(old, child)
-                            used[y] = cq
-                            dist_node[y] = alt
-                            dist_chan[cq] = alt
-                            heappush(heap, (alt, cq))
-                            pushes += 1
-                    else:
-                        # same channel, better distance (new shorter way
-                        # to feed it is impossible — cq's dependency from
-                        # cp is what improved); just update the keys
-                        st = state[e]
-                        if st == 1 or (
-                            st == 0 and self._try_use_fresh(e, cp, cq)
-                        ):
-                            dist_node[y] = alt
-                            dist_chan[cq] = alt
-                            heappush(heap, (alt, cq))
-                            pushes += 1
-        self._pops += pops
-        self._stale += stale
-        self._relax += relax
-        self._pushes += pushes
 
     def child_rebase_dependencies(
         self, node: int, alt: int
@@ -500,17 +299,6 @@ class NueLayerRouter:
                     return None
                 needed.append((alt, cq))
         return needed
-
-    def _try_use_fresh(self, eid: int, cp: int, cq: int) -> bool:
-        """Cycle-check-and-use an *unused* edge by id (hot-path slice).
-
-        Caller has already ruled out the used/blocked states, so a
-        success always means this step owns the edge.
-        """
-        if self.cdg.try_use_edge_id(eid, cp, cq):
-            self._step_marked.add(eid)
-            return True
-        return False
 
     def try_use_dependency(self, cp: int, cq: int) -> bool:
         """Cycle-checked edge use with per-step bookkeeping.
@@ -588,54 +376,3 @@ class NueLayerRouter:
         chans = self.escape.fallback_channels(dest)
         for v in range(self.net.n_nodes):
             self._used[v] = chans[v] if v != dest else -1
-
-    # -- balancing -------------------------------------------------------------------
-
-    def _update_weights(self, dest: int) -> None:
-        """DFSSSP-style positive weight update after a routing step.
-
-        Adds, to every channel of the step's forwarding forest, the
-        number of terminal routes crossing it (computed by subtree
-        accumulation in O(|N|)).  Runs on plain lists (ints and the
-        CSR channel-source mirror); the stable descending-depth order
-        matches the previous stable argsort tie-for-tie, and the
-        per-channel increments are exact integer adds either way.
-        """
-        net = self.net
-        n = net.n_nodes
-        sources = net.terminals or list(range(n))
-        total = [0] * n
-        for s in sources:
-            if s != dest:
-                total[s] += 1
-        # depth over the used-channel forest (distances can be
-        # non-monotone after backtracking, so follow the tree itself)
-        used = self._used
-        src_of = self.csr.src_l
-        depth = [-1] * n
-        depth[dest] = 0
-        for v in range(n):
-            if depth[v] >= 0 or used[v] < 0:
-                continue
-            chain = []
-            u = v
-            while depth[u] < 0 and used[u] >= 0:
-                chain.append(u)
-                u = src_of[used[u]]
-            base = depth[u]
-            if base < 0:
-                continue
-            for i, w in enumerate(reversed(chain), start=1):
-                depth[w] = base + i
-        # descending depth, ties in node order (sorted() is stable
-        # under reverse=True, matching argsort(-depth, kind="stable"))
-        order = sorted(range(n), key=depth.__getitem__, reverse=True)
-        weights = self.weights
-        for v in order:
-            c = used[v]
-            if c < 0 or v == dest or depth[v] <= 0:
-                continue
-            weights[c] += total[v]
-            total[src_of[c]] += total[v]
-        # weights grow monotonically and stay positive (Lemma 1 relies
-        # on strictly positive weights)

@@ -4,16 +4,17 @@ The per-destination modified Dijkstra (paper Algorithm 1) dominates
 every profile.  This package restructures it into *batched layer
 kernels*: one call routes every destination of a virtual layer over
 flat preallocated ``int32``/``float64`` state arrays and the layer's
-contiguous CDG byte plane, instead of one interpreted ``route_step``
-call per destination.  Two backends implement the identical algorithm:
+contiguous CDG byte plane, instead of one interpreted routing step
+per destination.  Two backends implement the identical algorithm:
 
 ``python``
     Hand-optimised pure-Python batch loop (:mod:`.python`).  Always
     available; the reference fallback.  Amortises per-step setup
     across the batch (incremental weight mirror, shared scratch,
     epoch-stamped cycle searches) while committing destinations in
-    exactly the scalar order, so forwarding tables, CDG state and
-    work counters stay bit-identical to ``route_step``.
+    exactly the order of the frozen oracle
+    (:class:`repro.legacy.LegacyNueLayerRouter`), so forwarding
+    tables, CDG state and work counters stay bit-identical to it.
 
 ``numba``
     The same batch loop compiled with :mod:`numba` ``@njit``
@@ -32,8 +33,8 @@ when set and otherwise picks ``numba`` when importable, else
 ``python``.  Validation is eager: unknown names raise a one-line
 ``ValueError`` naming the available kernels, and ``"numba"`` raises
 when numba is not importable.  Kernel choice can never change routing
-output — every backend is pinned bit-identical to the scalar path and
-to :mod:`repro.legacy.nue_ref`.
+output — every backend is pinned bit-identical to the other and to
+:mod:`repro.legacy.nue_ref`.
 """
 
 from __future__ import annotations

@@ -556,7 +556,7 @@ def _update_weights(used, src_of, wa, tmpl, total, depth, stk, order,
                     cnt, dest):
     """Balancing update on arrays (``_update_weights_batch`` twin):
     counting sort over subtree depths, adds applied in descending
-    depth with ascending node order — the scalar path's exact stable
+    depth with ascending node order — the oracle's exact stable
     order, hence the exact same doubles."""
     n = used.shape[0]
     for v in range(n):
@@ -850,7 +850,7 @@ def route_batch_numba(router: "NueLayerRouter", dests: List[int],
     else:
         tmpl_total[:] = 1
     enable_shortcuts = np.int64(1 if router.enable_shortcuts else 0)
-    pk_py = None  # lazy scalar scratch, built on the first impasse
+    pk_py = None  # lazy python-kernel scratch, built on the first impasse
     steps: List[RoutingStep] = []
     snaps: List[np.ndarray] = []
 
@@ -905,7 +905,7 @@ def route_batch_numba(router: "NueLayerRouter", dests: List[int],
         steps.append(step)
 
     # batch writeback: the Python objects end in exactly the state the
-    # scalar loop leaves them in (last destination's search state)
+    # python kernel leaves them in (last destination's search state)
     _sync_to_router(router, A)
     router.weights[:] = A.wa
 

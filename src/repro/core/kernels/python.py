@@ -1,19 +1,22 @@
 """Pure-Python batched layer kernel (the always-available backend).
 
 One :func:`route_batch_python` call routes every destination of a
-virtual layer, committing steps in exactly the order the scalar
-``NueLayerRouter.route_step`` path does — the batch shares the layer's
-CDG byte plane and scratch buffers, so forwarding tables, CDG state
-and every work counter are **bit-identical** to the per-destination
-loop (pinned by the kernel equality suite).  The speedup comes from
-amortising per-step setup across the batch and tightening the
-machinery the scalar path leaves general:
+virtual layer, committing steps in ``dests`` order on the layer's
+shared CDG byte plane and scratch buffers.  Its reference is the
+frozen pre-CSR oracle, :class:`repro.legacy.LegacyNueLayerRouter`,
+routing the same destinations one step at a time:
+forwarding tables, CDG end state and every work counter are
+**bit-identical** to that loop (pinned by the kernel equality suite
+and the legacy/golden equality tests).  The speed comes from
+amortising per-step setup across the batch and from tightening the
+machinery the oracle leaves general:
 
-* the channel-weight mirror is maintained *incrementally* — the scalar
-  path re-snapshots ``weights.tolist()`` every step, while the
-  balancing update only ever touches the step's forwarding forest —
-  and the per-destination copy-rotation bias is applied from small
-  per-residue add/undo lists built once per batch;
+* the channel-weight mirror is maintained *incrementally* — the
+  oracle adds a dense per-destination copy-rotation bias vector to the
+  weight array and reads weights from it directly, while the balancing
+  update only ever touches the step's forwarding forest — and the
+  bias is applied from small per-residue add/undo lists built once
+  per batch;
 * Pearce-Kelly cycle searches run on epoch-stamped scratch arrays
   instead of per-call ``set`` objects, with in-place region sorts
   instead of three ``sorted(key=lambda...)`` passes;
@@ -23,7 +26,7 @@ machinery the scalar path leaves general:
   — a pure fast path: that failure mutates nothing), and the
   child-rebase scan runs on flat CSR mirrors instead of per-edge
   method calls;
-* the balancing update replaces the full ``sorted(range(n))`` with a
+* the balancing update replaces a full ``sorted(range(n))`` with a
   counting sort over depths (same descending-depth, ascending-node
   order, so the accumulated weights are the same doubles) and copies
   a batch-level traffic-source template instead of re-marking sources
@@ -34,15 +37,15 @@ machinery the scalar path leaves general:
 
 Float discipline: Python floats and numpy float64 are the same IEEE
 doubles, and the incremental mirror applies the exact add/subtract
-sequence the scalar path applies (the bias entries that scalar adds as
-a dense vector are zero everywhere the mirror is not touched, and
+sequence the oracle applies (the bias entries the oracle adds as a
+dense vector are zero everywhere the mirror is not touched, and
 ``x + 0.0 == x`` for the strictly positive weights Lemma 1
 guarantees), so every distance and weight agrees bit-for-bit.
 
 The cold paths — island backtracking, escape fallback, seeding — are
-the scalar router's own methods: they run once per impasse, not per
-relaxation, and sharing them keeps one implementation of the subtle
-Section-4.6.2/3 logic.
+:class:`repro.core.dijkstra.NueLayerRouter`'s own methods: they run
+once per impasse, not per relaxation, and sharing them keeps one
+implementation of the subtle Section-4.6.2/3 logic.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ __all__ = ["route_batch_python"]
 class _BiasCache:
     """Per-residue copy-rotation bias entries, shared by the backends.
 
-    The scalar path builds a dense per-destination bias vector; but a
+    The legacy oracle builds a dense per-destination bias vector; but a
     bundle's bias depends on the destination only through ``dest mod
     m`` (``m`` = bundle size), so the handful of non-zero ``(channel,
     bias)`` entries can be precomputed once per residue class modulo
@@ -105,8 +108,8 @@ class _BatchScratch:
 
     * ``stamp``/``epoch``: epoch-stamped visited marks for the
       Pearce-Kelly searches — bumping ``epoch`` invalidates every mark
-      in O(1), replacing the per-search ``set`` objects of the scalar
-      path without changing which vertices a search visits.
+      in O(1), replacing the per-search ``set`` objects of the legacy
+      oracle without changing which vertices a search visits.
     * ``rows``: per-channel relaxation rows of ``(edge id, successor
       channel, head node)`` triples, so the inner loop unpacks one
       prebuilt tuple instead of indexing three flat mirrors.
@@ -154,7 +157,7 @@ def _pk_check(cdg: "CompleteCDG", pk: _BatchScratch, cp: int, cq: int) -> bool:
     # scan instead of an explicit stack: CPython list iterators pick up
     # in-loop appends, and the bounded region is traversal-order
     # independent (it is exactly the reachable set inside the order
-    # window), so this visits the same vertices as the scalar DFS
+    # window), so this visits the same vertices as the oracle's DFS
     fwd = [cq]
     for c in fwd:
         for nxt in used_out[c]:
@@ -208,8 +211,8 @@ def _commit_edge(cdg: "CompleteCDG", eid: int, cp: int, cq: int) -> None:
 
 def _try_fresh(cdg: "CompleteCDG", pk: _BatchScratch, eid: int,
                cp: int, cq: int, marked: set) -> bool:
-    """Cycle-check-and-use an *unused* edge (fast twin of
-    ``NueLayerRouter._try_use_fresh``): commit or block, identically."""
+    """Cycle-check-and-use an *unused* edge: commit it used, or block
+    it, exactly as ``CompleteCDG.try_use_edge_id`` does."""
     ordv = cdg._ord
     if ordv[cp] < ordv[cq] or _pk_check(cdg, pk, cp, cq):
         _commit_edge(cdg, eid, cp, cq)
@@ -227,7 +230,7 @@ def _try_edges_atomic(router: "NueLayerRouter", cdg: "CompleteCDG",
 
     Same sequential checks (each sees the edges already added), same
     rollback, same net counter effects: a fresh edge that fails its
-    cycle check is never observably blocked (the scalar path blocks
+    cycle check is never observably blocked (the router method blocks
     and immediately reverts it), and reverted edges keep their ω merge.
     """
     state = cdg._state
@@ -253,20 +256,31 @@ def _try_edges_atomic(router: "NueLayerRouter", cdg: "CompleteCDG",
     return True
 
 
+def _source_template(net) -> List[int]:
+    """Balancing-source template: every terminal (or, on switch-only
+    fabrics, every node) carries one unit of traffic; per step only the
+    destination's own entry changes."""
+    tmpl_total = [0] * net.n_nodes
+    for s in (net.terminals or range(net.n_nodes)):
+        tmpl_total[s] = 1
+    return tmpl_total
+
+
 def _update_weights_batch(router: "NueLayerRouter", wl: List[float],
                           dest: int, tmpl_total: List[int]) -> None:
     """DFSSSP-style balancing update on the incremental weight mirror.
 
-    Twin of ``NueLayerRouter._update_weights`` with the full-range
-    ``sorted`` replaced by a counting sort over depths — descending
-    depth with ascending node order inside each depth, which is
-    exactly the stable order the scalar path produces — the per-step
+    Twin of ``LegacyNueLayerRouter._update_weights`` with the
+    full-range ``sorted`` replaced by a counting sort over depths —
+    descending depth with ascending node order inside each depth,
+    which is exactly the stable order the oracle produces — the per-step
     source marking replaced by a copy of the batch-level template
     (sources never change within a layer; only the destination's own
     entry is zeroed), and the adds applied to the batch mirror ``wl``
     (synced back to the ndarray once per batch; same doubles, same
     order — each node's in-channel is unique, so every channel
-    receives at most one add per step).
+    receives at most one add per step).  ``NueLayerRouter.adopt_column``
+    reuses it to replay a retained column's update.
     """
     n = len(tmpl_total)
     used = router._used
@@ -309,7 +323,7 @@ def _update_weights_batch(router: "NueLayerRouter", wl: List[float],
 def _main_loop(router: "NueLayerRouter", pk: _BatchScratch,
                wl: List[float]) -> None:
     """Algorithm 1 lines 10–23 — the batch twin of
-    ``NueLayerRouter._run_main_loop``.
+    ``LegacyNueLayerRouter._run_main_loop``.
 
     Identical pop order (same lazy-deletion heap, same keys), identical
     branch conditions and commit effects; the differences are pure
@@ -358,7 +372,7 @@ def _main_loop(router: "NueLayerRouter", pk: _BatchScratch,
                     st = state[e]
                     if st == 0:
                         # fresh dependency: cycle-check, then commit
-                        # used or block (inlined _try_use_fresh twin)
+                        # used or block (inlined _try_fresh)
                         if ordv[cp] < ordv[cq] or _pk_check(
                             cdg, pk, cp, cq
                         ):
@@ -383,8 +397,11 @@ def _main_loop(router: "NueLayerRouter", pk: _BatchScratch,
                         fresh += 1  # the loop's only -1 -> c transition
                     # else: edge became a blocked routing restriction
                 elif uy != cq:
-                    # re-wire (lazy §4.6.3 shortcut — see the scalar
-                    # path for the full discipline)
+                    # re-wire: the lazy §4.6.3 shortcut.  Backtracking
+                    # can open shorter routes to a reached node; any
+                    # dependency already recorded toward y's current
+                    # tree children is re-validated on the new
+                    # in-channel, exactly as a backtracking re-base
                     if not enable_shortcuts:
                         continue
                     st = state[e]
@@ -409,8 +426,8 @@ def _main_loop(router: "NueLayerRouter", pk: _BatchScratch,
                             router, cdg, pk, [(cp, cq)] + needed
                         )
                     else:
-                        # single-edge commit: on failure the scalar
-                        # atomic path leaves no trace (the fresh block
+                        # single-edge commit: on failure the router's
+                        # atomic commit leaves no trace (the fresh block
                         # marker is reverted), so nothing to roll back
                         ok = st == 1 or (
                             st == 0
@@ -464,7 +481,7 @@ def _resolve_impasses(router: "NueLayerRouter", pk: _BatchScratch,
                       miss: int) -> None:
     """Cold path shared by the backends: §4.6.2 backtrack rounds, then
     the full escape fallback when islands remain.  Mutates ``step``'s
-    tallies exactly as the scalar ``route_step`` while-loop does."""
+    tallies exactly as the oracle's per-step backtracking loop does."""
     while miss and router.enable_backtracking:
         progressed, shortcuts = resolve_islands(router, dest)
         step.shortcuts_taken += shortcuts
@@ -480,9 +497,8 @@ def _resolve_impasses(router: "NueLayerRouter", pk: _BatchScratch,
 
 
 def _flush_step_obs(router: "NueLayerRouter", step: "RoutingStep") -> None:
-    """Per-step counter/histogram flush — identical keys, values and
-    ``layer`` tag to the scalar ``route_step`` flush (pinned by the
-    observability equality tests)."""
+    """Per-step counter/histogram flush: one event per counter family
+    per step, tagged with the layer, from every backend."""
     obs.count_many({
         "nue.route_steps": 1,
         "nue.heap_pops": step.heap_pops,
@@ -506,28 +522,20 @@ def route_batch_python(router: "NueLayerRouter", dests: List[int],
     """Route ``dests`` sequentially on shared batch state.
 
     Writes each destination's traffic-direction forwarding column into
-    ``block[:, cols[i]]`` and returns the per-step work records (their
-    ``used_channel``/``dist_node`` stay empty — per-node state lives in
-    the block; see :meth:`NueLayerRouter.route_batch`).
+    ``block[:, cols[i]]`` and returns the per-step work records (see
+    :meth:`NueLayerRouter.route_batch`).
     """
     from repro.core.dijkstra import RoutingStep
 
     net = router.net
-    cdg = router.cdg
-    n = net.n_nodes
     csr = router.csr
     pk = _BatchScratch(csr)
-    # incremental weight mirror: same doubles as the scalar path's
-    # per-step ``weights.tolist()`` because the exact same add/subtract
-    # sequence is applied; synced back to the ndarray once at the end
+    # incremental weight mirror: same doubles as the oracle's weight
+    # array because the exact same add/subtract sequence is applied;
+    # synced back to the ndarray once at the end
     wl: List[float] = router.weights.tolist()
     router._w = wl  # the §4.6.2 resolver reads the step snapshot here
-    # balancing-source template: every terminal (or, on switch-only
-    # fabrics, every node) carries one unit; per step only the
-    # destination's own entry changes
-    tmpl_total = [0] * n
-    for s in (net.terminals or range(n)):
-        tmpl_total[s] = 1
+    tmpl_total = _source_template(net)
     has_bundles = bool(csr.bundles)
     used = router._used
     dist_node = router._dist_node
@@ -549,7 +557,7 @@ def route_batch_python(router: "NueLayerRouter", dests: List[int],
 
         if has_bundles:
             # destination-hash port-group rotation: apply only the
-            # non-zero entries of the bias vector the scalar path adds
+            # non-zero entries of the bias vector the oracle adds
             bias_pairs = pk.bias_pairs(csr, dest)
             for ch, b in bias_pairs:
                 wl[ch] += b

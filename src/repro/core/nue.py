@@ -236,9 +236,9 @@ def _route_layer(
             "shortcuts_taken": 0,
         }
         block = np.full((net.n_nodes, len(subset)), -1, dtype=np.int32)
-        # one batched kernel call per layer (PR 8): all destinations
-        # advance on the shared CDG/weight state, bit-identical to the
-        # former per-destination route_step loop
+        # one batched kernel call per layer: all destinations advance
+        # on the shared CDG/weight state, bit-identical to the frozen
+        # oracle's per-destination loop (repro.legacy.nue_ref)
         for step in router.route_batch(subset, block):
             if step.fell_back:
                 layer_stats["fallbacks"] += 1  # type: ignore[operator]

@@ -202,17 +202,14 @@ class CSRView:
             pair_channels.setdefault((src[c], dst[c]), []).append(c)
         self._pair_channels = pair_channels
 
-        # parallel-channel bundles (multi-link redundancy) and each
-        # channel's copy index within its bundle — shared by every
-        # layer router (OpenSM port-group rotation)
-        self.bundles: List[List[int]] = []
-        self.copy_index = np.zeros(self.n_channels, dtype=np.int64)
-        for (u, v), bundle in sorted(pair_channels.items(),
-                                     key=lambda kv: kv[1][0]):
-            if len(bundle) > 1:
-                self.bundles.append(bundle)
-                for i, ch in enumerate(bundle):
-                    self.copy_index[ch] = i
+        # parallel-channel bundles (multi-link redundancy), shared by
+        # every layer router (OpenSM port-group rotation: a channel's
+        # position in its bundle is its copy index)
+        self.bundles: List[List[int]] = [
+            bundle for bundle in sorted(pair_channels.values(),
+                                        key=lambda b: b[0])
+            if len(bundle) > 1
+        ]
         # bundle CSR (kernel-ready form of ``bundles``): channels of
         # bundle b are bundle_idx[bundle_ptr[b]:bundle_ptr[b+1]]
         self.bundle_ptr, self.bundle_idx = _csr_from_lists(self.bundles)

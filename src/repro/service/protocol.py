@@ -7,12 +7,10 @@ One message is one *frame*::
     | codec  | payload length | encoded message  |
     +--------+----------------+------------------+
 
-The codec byte makes every frame self-describing, so a JSON client can
-talk to a daemon whose default codec is msgpack and vice versa — the
-responder always answers in the codec the request arrived in.  JSON
-(codec byte ``J``) is always available; msgpack (codec byte ``M``) is
-registered only when the ``msgpack`` package is importable, which the
-container image does not guarantee (see :func:`available_codecs`).
+The codec byte makes every frame self-describing, so the responder
+always answers in the codec the request arrived in.  JSON (codec byte
+``J``) is the message codec; any other byte but ``B`` (below) is
+refused (see :func:`available_codecs`).
 
 Messages carrying numpy arrays (forwarding tables) never round-trip
 through nested JSON lists: :func:`encode_frame` transparently upgrades
@@ -162,17 +160,6 @@ _CODECS: Dict[str, Codec] = {
     "json": Codec("json", b"J", _json_dumps, _json_loads),
 }
 
-try:  # msgpack is optional — the baked image may not ship it
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised where msgpack exists
-    msgpack = None
-else:  # pragma: no cover - exercised where msgpack exists
-    _CODECS["msgpack"] = Codec(
-        "msgpack", b"M",
-        lambda msg: msgpack.packb(msg, use_bin_type=True),
-        lambda data: msgpack.unpackb(data, raw=False),
-    )
-
 #: placeholder key marking an extracted ndarray in a binary frame's
 #: inner message; the value is the out-of-band buffer index
 NDARRAY_KEY = "__ndarray__"
@@ -285,8 +272,7 @@ _BY_BYTE: Dict[int, Codec] = {c.byte[0]: c for c in _CODECS.values()}
 
 
 def available_codecs() -> List[str]:
-    """Codec names usable in this process (``json`` always; ``msgpack``
-    when the package is installed)."""
+    """Codec names usable in this process (``binary`` and ``json``)."""
     return sorted(_CODECS)
 
 

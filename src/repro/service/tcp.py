@@ -60,7 +60,7 @@ class StreamComm(Comm):
             raise CommClosedError(
                 f"peer {self.peer} closed the connection") from exc
         # decode with the codec named in the frame, not the local
-        # default: a json client may talk to a msgpack-default daemon
+        # default: a json client may talk to a binary-default daemon
         return codec.loads(payload)
 
     async def close(self) -> None:

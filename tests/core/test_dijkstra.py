@@ -1,8 +1,14 @@
-"""Algorithm 1: routing steps inside the complete CDG."""
+"""Algorithm 1: routing steps inside the complete CDG.
+
+Each step is a one-element ``route_batch`` call (``route_one``); the
+forwarding column it returns is the reverse of Algorithm 1's
+``usedChannel`` array.
+"""
 
 import numpy as np
 import pytest
 
+from nue_steps import route_one
 from repro.cdg.complete_cdg import CompleteCDG
 from repro.core.dijkstra import NueLayerRouter
 from repro.core.escape import EscapePaths
@@ -25,57 +31,56 @@ class TestRouteStep:
     def test_reaches_every_node(self):
         net = paper_ring_with_shortcut()
         router, dests = make_router(net)
-        step = router.route_step(0)
-        assert step.used_channel[0] == -1
+        col, _ = route_one(router, 0)
+        assert col[0] == -1
         for v in range(1, net.n_nodes):
-            assert step.used_channel[v] >= 0
+            assert col[v] >= 0
 
     def test_used_channels_enter_their_node(self):
         net = torus([3, 3], 1)
         router, _ = make_router(net, dests=net.terminals)
-        step = router.route_step(net.terminals[0])
+        col, _ = route_one(router, net.terminals[0])
         for v in range(net.n_nodes):
-            c = step.used_channel[v]
-            if c >= 0:
-                assert net.channel_dst[c] == v
+            if col[v] >= 0:
+                assert net.channel_dst[net.channel_reverse[col[v]]] == v
 
     def test_terminal_destination_seeds_switch(self):
         net = ring(4, 1)
         router, _ = make_router(net, dests=net.terminals)
         d = net.terminals[0]
         s = net.terminal_switch(d)
-        step = router.route_step(d)
+        col, _ = route_one(router, d)
         # the destination's switch forwards straight to the terminal
-        assert net.channel_src[step.used_channel[s]] == d
+        assert net.channel_src[net.channel_reverse[col[s]]] == d
 
     def test_switch_destination_uses_fake_channel_seeding(self):
         net = ring(4)
         router, _ = make_router(net)
-        step = router.route_step(2)
+        col, _ = route_one(router, 2)
         for v in range(net.n_nodes):
             if v != 2:
-                assert step.used_channel[v] >= 0
+                assert col[v] >= 0
 
     def test_cdg_stays_acyclic_across_steps(self):
         net = torus([3, 3], 2)
         router, dests = make_router(net, dests=net.terminals)
         for d in dests:
-            router.route_step(d)
+            route_one(router, d)
             router.cdg.assert_acyclic()
 
     def test_chains_terminate_at_destination(self):
         net = random_topology(12, 30, 2, seed=2)
         router, dests = make_router(net, dests=net.terminals)
         for d in dests[:4]:
-            step = router.route_step(d)
+            col, _ = route_one(router, d)
             for v in range(net.n_nodes):
                 if v == d:
                     continue
                 node, hops = v, 0
                 while node != d:
-                    c = step.used_channel[node]
+                    c = col[node]
                     assert c >= 0
-                    node = net.channel_src[c]
+                    node = net.channel_dst[c]
                     hops += 1
                     assert hops <= net.n_nodes, "cycle in used chains"
 
@@ -83,7 +88,7 @@ class TestRouteStep:
         net = ring(5, 1)
         router, dests = make_router(net, dests=net.terminals)
         w0 = router.weights.copy()
-        router.route_step(dests[0])
+        route_one(router, dests[0])
         assert (router.weights >= w0).all()
         assert (router.weights > 0).all()
 
@@ -92,7 +97,7 @@ class TestRouteStep:
         more weight, steering the next tree elsewhere when possible."""
         net = torus([3, 3], 1)
         router, dests = make_router(net, dests=net.terminals)
-        router.route_step(dests[0])
+        route_one(router, dests[0])
         loaded = np.flatnonzero(router.weights > router.weights.min())
         assert loaded.size > 0
 
@@ -100,7 +105,7 @@ class TestRouteStep:
         net = ring(6, 1)
         router, dests = make_router(net, dests=net.terminals)
         for d in dests:
-            router.route_step(d)
+            route_one(router, d)
         assert router.cdg.n_blocked_edges > 0
 
 
@@ -114,7 +119,7 @@ class TestFallbackPath:
             net, enable_backtracking=False, dests=net.terminals
         )
         fallbacks = sum(
-            router.route_step(d).fell_back for d in dests
+            route_one(router, d)[1].fell_back for d in dests
         )
         assert fallbacks > 0
         router.cdg.assert_acyclic()
@@ -126,11 +131,11 @@ class TestFallbackPath:
         off_router, dests = make_router(
             net, enable_backtracking=False, dests=net.terminals
         )
-        off = sum(off_router.route_step(d).fell_back for d in dests)
+        off = sum(route_one(off_router, d)[1].fell_back for d in dests)
         on_router, _ = make_router(
             net, enable_backtracking=True, dests=net.terminals
         )
-        on = sum(on_router.route_step(d).fell_back for d in dests)
+        on = sum(route_one(on_router, d)[1].fell_back for d in dests)
         assert on < off
 
     def test_fallback_chains_match_escape(self):
@@ -138,11 +143,12 @@ class TestFallbackPath:
         router, dests = make_router(
             net, enable_backtracking=False, dests=net.terminals
         )
+        rev = net.channel_reverse
         for d in dests:
-            step = router.route_step(d)
+            col, step = route_one(router, d)
             if step.fell_back:
                 expected = router.escape.fallback_channels(d)
-                assert step.used_channel == [
+                assert [rev[c] if c >= 0 else -1 for c in col] == [
                     expected[v] if v != d else -1
                     for v in range(net.n_nodes)
                 ]

@@ -2,7 +2,8 @@
 
 The batched kernels (``kernel="python"`` / ``kernel="numba"``) must be
 *undetectable* from routing output — same forwarding tables, same CDG
-end state, same work counters as the scalar ``route_step`` path.  The
+end state, same work counters as the frozen legacy oracle
+(:mod:`repro.legacy.nue_ref`).  The
 registry must fail eagerly and name its alternatives, like every other
 config key.
 
@@ -25,6 +26,11 @@ from repro.core.kernels import (
     validate_kernel,
 )
 from repro.core.nue import NueConfig, _LayerConfig, build_layer_state
+from repro.legacy import (
+    LegacyCompleteCDG,
+    LegacyEscapePaths,
+    LegacyNueLayerRouter,
+)
 from repro.network.topologies import random_topology, torus
 from repro.routing.registry import (
     algorithm_descriptions,
@@ -160,9 +166,13 @@ def _build_layer(net, dests, retire=None):
                              retire_channels=retire or [])
 
 
-def _run_scalar(net, dests, retire=None):
-    """The pre-kernel reference: one ``route_step`` per destination."""
-    router = _build_layer(net, dests, retire)
+def _run_legacy(net, dests):
+    """The frozen oracle: one legacy ``route_step`` per destination,
+    on the escape root the production layer build selects."""
+    root = _build_layer(net, dests).escape.tree.root
+    cdg = LegacyCompleteCDG(net)
+    router = LegacyNueLayerRouter(
+        net, cdg, LegacyEscapePaths(net, cdg, root, dests))
     rev = net.channel_reverse
     block = np.full((net.n_nodes, len(dests)), -1, dtype=np.int32)
     steps = []
@@ -185,12 +195,19 @@ def _run_batch(net, dests, kernel, retire=None):
 
 
 def _assert_layer_states_identical(a, b, label):
-    """Full end-state equality: tables alone could mask divergence."""
+    """Full end-state equality: tables alone could mask divergence.
+
+    Compares through the state both CDG representations share (edge
+    sets and adjacency lists, not the CSR byte plane), so ``a`` or
+    ``b`` may be the legacy oracle's run."""
     ra, ba, sa = a
     rb, bb, sb = b
     np.testing.assert_array_equal(ba, bb, err_msg=label)
     ca, cb = ra.cdg, rb.cdg
-    assert bytes(ca._state) == bytes(cb._state), f"{label}: CDG states"
+    assert list(ca.used_edges()) == list(cb.used_edges()), \
+        f"{label}: used edges"
+    assert sorted(ca.blocked_edges()) == sorted(cb.blocked_edges()), \
+        f"{label}: blocked edges"
     assert ca._used_out == cb._used_out, f"{label}: used-out adjacency"
     assert ca._used_in == cb._used_in, f"{label}: used-in adjacency"
     assert ca._ord == cb._ord, f"{label}: PK topological order"
@@ -204,6 +221,7 @@ def _assert_layer_states_identical(a, b, label):
     assert ca._uf._count == cb._uf._count, f"{label}: union-find count"
     np.testing.assert_array_equal(ra.weights, rb.weights,
                                   err_msg=f"{label}: weights")
+    assert len(sa) == len(sb), f"{label}: step count"
     for x, y in zip(sa, sb):
         for f in ("dest", "fell_back", "islands_resolved",
                   "shortcuts_taken", "backtrack_rounds", "heap_pops",
@@ -216,54 +234,51 @@ KERNELS = ["python", "numba"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-class TestBatchVsScalarState:
-    """Tentpole pin: batch kernels leave the *exact* scalar end state —
-    CDG bytes, PK order, union-find, weights and work counters, not
-    just tables."""
+class TestBatchVsLegacyState:
+    """Batch kernels leave the *exact* end state of the frozen legacy
+    oracle — used/blocked edge sets, adjacency, PK order, union-find,
+    weights and work counters, not just tables."""
 
     def test_torus(self, kernel, force_numba):
         net = torus([3, 3], 1)
         dests = list(net.terminals)
         _assert_layer_states_identical(
-            _run_scalar(net, dests),
+            _run_legacy(net, dests),
             _run_batch(net, dests, kernel), f"torus33/{kernel}")
 
     def test_random_multigraph(self, kernel, force_numba):
         net = random_topology(10, 24, 2, seed=5)
         dests = list(net.terminals)
         _assert_layer_states_identical(
-            _run_scalar(net, dests),
+            _run_legacy(net, dests),
             _run_batch(net, dests, kernel), f"random/{kernel}")
 
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestBatchVsScalarState:
+    """Retired channels (the resilience repair path) take the same
+    seeding/relaxation skips in both backends.  The legacy oracle
+    predates channel retirement, so each kernel is checked against the
+    other one and against the retirement invariants directly.  The
+    class keeps its original name so the test IDs stay stable."""
+
     def test_retired_channels(self, kernel, force_numba):
-        """Retired channels (the resilience repair path) take the same
-        seeding/relaxation skips in every backend."""
         net = torus([3, 3], 1)
         dests = list(net.terminals)
         s2s = [c for c in range(net.n_channels)
                if net.is_switch(net.channel_src[c])
                and net.is_switch(net.channel_dst[c])]
         retired = [s2s[0], s2s[7]]
-        _assert_layer_states_identical(
-            _run_scalar(net, dests, retire=retired),
-            _run_batch(net, dests, kernel, retire=retired),
-            f"retired/{kernel}")
-
-    def test_dist_node_stays_float64(self, kernel, force_numba):
-        """Satellite: ``RoutingStep.dist_node`` is a typed float64
-        ndarray everywhere — filled by the scalar path, left as the
-        typed empty default by batch kernels (per-node state lives in
-        the shared arrays, not per-step snapshots)."""
-        net = torus([3, 3], 1)
-        dests = list(net.terminals)
-        from repro.core.dijkstra import RoutingStep
-
-        assert RoutingStep(dest=0).dist_node.dtype == np.float64
-        _, _, scalar_steps = _run_scalar(net, dests)
-        for step in scalar_steps:
-            assert step.dist_node.dtype == np.float64
-            assert step.dist_node.shape == (net.n_nodes,)
-        _, _, batch_steps = _run_batch(net, dests, kernel)
-        for step in batch_steps:
-            assert step.dist_node.dtype == np.float64
-            assert step.dist_node.size == 0
+        other = "numba" if kernel == "python" else "python"
+        run = _run_batch(net, dests, kernel, retire=retired)
+        ref = _run_batch(net, dests, other, retire=retired)
+        _assert_layer_states_identical(ref, run, f"retired/{kernel}")
+        router, block, _ = run
+        assert bytes(ref[0].cdg._state) == bytes(router.cdg._state)
+        assert router.cdg.n_retired_edges > 0
+        rev = net.channel_reverse
+        used = {int(rev[c]) for c in block.ravel() if c >= 0}
+        assert used.isdisjoint(retired), f"{kernel} routes a retired channel"
+        for cp, cq in router.cdg.used_edges():
+            assert cp not in retired and cq not in retired, \
+                f"{kernel} uses a dependency of a retired channel"

@@ -157,7 +157,7 @@ class TestLifecycle:
 
 
 class TestMultigraph:
-    """Parallel channels: bundles, copy indices and pair lookup."""
+    """Parallel channels: bundles and pair lookup."""
 
     def test_bundles_cover_all_parallel_pairs(self):
         net = Network(2, [(0, 1), (0, 1), (0, 1)], [True, True])
@@ -168,8 +168,6 @@ class TestMultigraph:
             u = net.channel_src[bundle[0]]
             v = net.channel_dst[bundle[0]]
             assert bundle == csr.channels_between(u, v)
-            for i, c in enumerate(bundle):
-                assert csr.copy_index[c] == i
 
     def test_parallel_turns_excluded_from_cdg(self):
         """Turning around over a *parallel* channel is still a

@@ -28,7 +28,8 @@ from repro.routing import (
     RoutingError,
     Torus2QoSRouting,
     UpDownRouting,
-    algorithm_registry,
+    available_algorithms,
+    make_algorithm,
 )
 
 
@@ -299,9 +300,9 @@ class TestDFSSSP:
 
 class TestRegistry:
     def test_registry_names(self):
-        reg = algorithm_registry(4)
-        assert set(reg) == {
+        names = set(available_algorithms())
+        assert names == {
             "minhop", "updn", "dnup", "dor", "torus-2qos",
-            "ftree", "lash", "dfsssp",
+            "ftree", "lash", "dfsssp", "nue",
         }
-        assert all(reg[name].name == name for name in reg)
+        assert all(make_algorithm(name, 4).name == name for name in names)

@@ -54,8 +54,10 @@ class TestFraming:
             decode_header(b"J\x00")
 
     def test_unknown_codec_byte_refused(self):
-        with pytest.raises(ProtocolError, match="codec byte"):
-            decode_header(b"X" + b"\x00" * 4)
+        # "M" was the optional msgpack codec; it is gone, so is its byte
+        for byte in (b"X", b"M"):
+            with pytest.raises(ProtocolError, match="codec byte"):
+                decode_header(byte + b"\x00" * 4)
 
     def test_oversize_header_refused_without_allocating(self):
         header = b"J" + struct.pack(">I", MAX_FRAME_BYTES + 1)

@@ -167,7 +167,6 @@ TOP_LEVEL_SURFACE = {
     "Torus2QoSRouting": "class",
     "UpDownRouting": "class",
     "__version__": "str",
-    "algorithm_registry": "(max_vls: int = 8) -> dict",
     "api": "module",
     "available_algorithms": "() -> 'List[str]'",
     "engine": "module",
@@ -237,13 +236,6 @@ def test_readme_quickstart_snippet():
     assert gamma_summary(result).maximum > 0
     path = result.path_nodes(net.terminals[0], net.terminals[-1])
     assert path[0] == net.terminals[0]
-
-
-def test_algorithm_registry_importable_from_top_level():
-    with pytest.warns(DeprecationWarning,
-                      match="repro.api.make_algorithm"):
-        reg = repro.algorithm_registry(4)
-    assert "dfsssp" in reg
 
 
 def test_error_types_related():
